@@ -27,6 +27,8 @@
 // BENCH_<name>.json (schema "src-bench-v1", see DESIGN.md §10) to
 // $SRC_BENCH_OUT (a directory; default ".").  Every section carries
 // wall_seconds, iterations, events, events_per_sec, items, items_per_sec.
+// The file also names the machine that produced it (core count, compiler,
+// build type) and any derived figures a bench records with note().
 #pragma once
 
 #include <chrono>
@@ -35,6 +37,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -132,6 +135,19 @@ class Harness {
 
   const std::vector<Record>& records() const { return records_; }
 
+  /// Record of the named section; nullptr when there is none.
+  const Record* find(const std::string& label) const {
+    for (const Record& r : records_) {
+      if (r.name == label) return &r;
+    }
+    return nullptr;
+  }
+
+  /// A derived figure (e.g. a scaling ratio) written under "notes".
+  void note(std::string key, double value) {
+    notes_.emplace_back(std::move(key), value);
+  }
+
  private:
   static double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -164,7 +180,20 @@ class Harness {
       }
       std::printf("\n");
     }
+    for (const auto& [key, value] : notes_) {
+      std::printf("  %-40s %8.3f\n", key.c_str(), value);
+    }
     std::printf("  total wall time: %.3f s\n", total_wall_seconds_);
+  }
+
+  static const char* compiler() {
+#if defined(__clang__)
+    return "clang++ " __clang_version__;
+#elif defined(__GNUC__)
+    return "g++ " __VERSION__;
+#else
+    return "unknown";
+#endif
   }
 
   void write_json() const {
@@ -186,6 +215,21 @@ class Harness {
     doc.set("total_wall_seconds", total_wall_seconds_);
     if (sections.is_null()) sections = obs::Json::Array{};
     doc.set("sections", std::move(sections));
+    obs::Json machine;
+    machine.set("nproc",
+                static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    machine.set("compiler", compiler());
+#ifdef SRC_BUILD_TYPE
+    machine.set("build_type", SRC_BUILD_TYPE);
+#else
+    machine.set("build_type", "unknown");
+#endif
+    doc.set("machine", std::move(machine));
+    if (!notes_.empty()) {
+      obs::Json notes;
+      for (const auto& [key, value] : notes_) notes.set(key, value);
+      doc.set("notes", std::move(notes));
+    }
 
     const char* dir = std::getenv("SRC_BENCH_OUT");
     const std::string path =
@@ -204,6 +248,7 @@ class Harness {
   Clock::time_point start_;
   double total_wall_seconds_ = 0.0;
   std::vector<Record> records_;
+  std::vector<std::pair<std::string, double>> notes_;
 };
 
 }  // namespace src::bench

@@ -215,6 +215,14 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
                 static_cast<double>(result.total_pauses));
   SRC_OBS_GAUGE("core.pod.end_time_ms",
                 common::to_milliseconds(result.end_time));
+  // Engine telemetry. Both are lane-count invariant, but they describe the
+  // engine rather than the modelled system, so snapshot() leaves them out.
+  const double windows = static_cast<double>(lanes.windows());
+  SRC_OBS_GAUGE("sim.lane.windows", windows);
+  SRC_OBS_GAUGE("sim.lane.events_per_window",
+                windows > 0.0
+                    ? static_cast<double>(result.events_executed) / windows
+                    : 0.0);
   return result;
 }
 

@@ -89,10 +89,9 @@ void Port::deliver(Packet packet) {
     // lane group's deterministic mailbox merge. delay_ >= lookahead holds by
     // Network::connect construction, so the post is conservative-safe.
     lanes_->post(self_shard_, peer_shard_, sim_.now() + delay_,
-                 sim::Simulator::Callback(
-                     [peer = peer_, packet, peer_port = peer_port_] {
-                       peer->receive(packet, peer_port);
-                     }));
+                 [peer = peer_, packet, peer_port = peer_port_] {
+                   peer->receive(packet, peer_port);
+                 });
     return;
   }
   sim_.schedule_in(delay_, [peer = peer_, packet, peer_port = peer_port_] {

@@ -1,7 +1,8 @@
 #include "sim/lane.hpp"
 
 #include <algorithm>
-#include <barrier>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,17 +14,76 @@ namespace src::sim {
 using common::SimTime;
 using common::kTimeInfinity;
 
-LaneGroup::LaneGroup(std::size_t shard_count, std::size_t lane_count) {
-  if (shard_count == 0) {
-    throw std::invalid_argument("LaneGroup: shard_count must be >= 1");
+namespace {
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Reusable barrier whose last arriver runs a completion step before
+/// releasing the others. Waiters spin for a bounded time — most windows
+/// end within microseconds of each other — and then park on the
+/// generation word, so lanes left waiting for a descheduled peer give
+/// their CPUs back.
+class SpinBarrier {
+ public:
+  explicit SpinBarrier(std::size_t count) : count_(count) {}
+
+  template <typename Completion>
+  void arrive_and_wait(Completion&& complete) {
+    const std::uint32_t gen = generation_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == count_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      complete();
+      generation_.store(gen + 1, std::memory_order_release);
+      generation_.notify_all();
+      return;
+    }
+    for (int spin = 0; spin < kSpinLimit; ++spin) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      // Every 64th round offers the CPU to another runnable thread: on an
+      // oversubscribed host (a parallel test run, a busy VM) that is often
+      // the lane everyone is waiting for.
+      if (spin % 64 == 63) {
+        std::this_thread::yield();
+      } else {
+        cpu_relax();
+      }
+    }
+    while (generation_.load(std::memory_order_acquire) == gen) {
+      generation_.wait(gen, std::memory_order_acquire);
+    }
   }
-  shards_.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    shards_.push_back(std::make_unique<Simulator>());
+
+ private:
+  /// About a millisecond on a current x86 core: well past a typical
+  /// window's imbalance (tens of microseconds).
+  static constexpr int kSpinLimit = 1 << 15;
+
+  const std::size_t count_;
+  std::atomic<std::size_t> arrived_{0};
+  std::atomic<std::uint32_t> generation_{0};
+};
+
+}  // namespace
+
+LaneGroup::LaneGroup(std::size_t shard_count, std::size_t lane_count)
+    : shards_(shard_count > 0 ? shard_count
+                              : throw std::invalid_argument(
+                                    "LaneGroup: shard_count must be >= 1")) {
+  for (Shard& shard : shards_) {
+    shard.kernel = std::make_unique<Simulator>();
+    shard.next_seq.resize(shard_count, 0);
   }
   lane_count_ = std::clamp<std::size_t>(lane_count, 1, shard_count);
-  outboxes_.resize(shard_count * shard_count);
-  scratch_.resize(shard_count);
+  for (std::vector<Outbox>& boxes : outboxes_) {
+    boxes.resize(shard_count * shard_count);
+  }
+  active_.reserve(shard_count);
 }
 
 void LaneGroup::set_lookahead(SimTime lookahead) {
@@ -35,12 +95,8 @@ void LaneGroup::set_lookahead(SimTime lookahead) {
   lookahead_ = lookahead;
 }
 
-void LaneGroup::post(std::size_t src, std::size_t dst, SimTime when,
-                     Callback fn) {
-  if (src == dst) {
-    kernel(src).schedule_at(when, std::move(fn));
-    return;
-  }
+std::uint64_t LaneGroup::admit_post(std::size_t src, std::size_t dst,
+                                    SimTime when) {
   const SimTime earliest = kernel(src).now() +
                            (lookahead_ == kTimeInfinity ? 0 : lookahead_);
   if (when < earliest) {
@@ -51,21 +107,25 @@ void LaneGroup::post(std::size_t src, std::size_t dst, SimTime when,
         ", lookahead=" + std::to_string(lookahead_) +
         ") — a cross-shard link is faster than the declared lookahead");
   }
-  Outbox& box = outbox(src, dst);
-  box.mail.push_back(Mail{when, box.next_seq++, std::move(fn)});
+  Shard& source = shards_[src];
+  if (outbox(parity_, src, dst).mail.empty()) {
+    source.posted_to.push_back(static_cast<std::uint32_t>(dst));
+  }
+  source.earliest_post = std::min(source.earliest_post, when);
+  return source.next_seq[dst]++;
 }
 
-void LaneGroup::exchange(std::size_t dst) {
-  std::vector<MailRef>& merged = scratch_[dst];
+void LaneGroup::drain(std::size_t dst) {
+  Shard& shard = shards_[dst];
+  if (shard.senders.empty()) return;
+  const unsigned pending = parity_ ^ 1u;
+  std::vector<MailRef>& merged = shard.merge;
   merged.clear();
-  const std::size_t shard_count = shards_.size();
-  for (std::size_t src = 0; src < shard_count; ++src) {
-    if (src == dst) continue;
-    for (Mail& m : outbox(src, dst).mail) {
+  for (const std::uint32_t src : shard.senders) {
+    for (Mail& m : outbox(pending, src, dst).mail) {
       merged.push_back(MailRef{m.when, src, m.seq, &m});
     }
   }
-  if (merged.empty()) return;
   // (when, src, seq) is a total order — per-(src, dst) sequences are unique
   // — so a plain sort is deterministic regardless of arrival layout.
   std::sort(merged.begin(), merged.end(),
@@ -74,21 +134,60 @@ void LaneGroup::exchange(std::size_t dst) {
               if (a.src != b.src) return a.src < b.src;
               return a.seq < b.seq;
             });
-  Simulator& sink = kernel(dst);
-  for (MailRef& ref : merged) {
+  Simulator& sink = *shard.kernel;
+  for (const MailRef& ref : merged) {
     sink.schedule_at(ref.when, std::move(ref.mail->fn));
   }
-  for (std::size_t src = 0; src < shard_count; ++src) {
-    if (src != dst) outbox(src, dst).mail.clear();
+  for (const std::uint32_t src : shard.senders) {
+    outbox(pending, src, dst).mail.clear();
+  }
+  shard.senders.clear();
+}
+
+void LaneGroup::run_shard(std::size_t shard) {
+  drain(shard);
+  Simulator& sim = *shards_[shard].kernel;
+  const std::uint64_t before = sim.executed_events();
+  sim.run_until(horizon_);
+  shards_[shard].load = sim.executed_events() - before;
+}
+
+void LaneGroup::run_claimed(std::size_t lane) {
+  // A shard that stays on one lane keeps its calendar and model state in
+  // that core's cache, so each lane first takes back what it ran before.
+  for (const std::uint32_t s : active_) {
+    if (shards_[s].lane.load(std::memory_order_relaxed) == lane && claim(s)) {
+      run_shard(s);
+    }
+  }
+  for (;;) {
+    const std::size_t i = next_claim_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= active_.size()) return;
+    const std::uint32_t s = active_[i];
+    if (claim(s)) {
+      shards_[s].lane.store(lane, std::memory_order_relaxed);
+      run_shard(s);
+    }
   }
 }
 
-bool LaneGroup::plan_window(SimTime deadline) {
+bool LaneGroup::plan_window() {
+  // Gather the window's mail: each source's earliest post bounds t_min, and
+  // its first-post list tells each destination which columns to drain.
+  const std::size_t shard_count = shards_.size();
   SimTime t_min = kTimeInfinity;
-  for (const auto& shard : shards_) {
-    t_min = std::min(t_min, shard->next_event_time());
+  for (std::size_t src = 0; src < shard_count; ++src) {
+    Shard& source = shards_[src];
+    t_min = std::min({t_min, source.earliest_post,
+                      source.kernel->next_event_time()});
+    source.earliest_post = kTimeInfinity;
+    for (const std::uint32_t dst : source.posted_to) {
+      shards_[dst].senders.push_back(static_cast<std::uint32_t>(src));
+    }
+    source.posted_to.clear();
   }
-  if (t_min == kTimeInfinity || t_min > deadline) {
+  parity_ ^= 1u;
+  if (t_min == kTimeInfinity || t_min > deadline_) {
     stop_ = true;
     return false;
   }
@@ -98,107 +197,111 @@ bool LaneGroup::plan_window(SimTime deadline) {
                               t_min > kTimeInfinity - lookahead_)
                                  ? kTimeInfinity
                                  : t_min + lookahead_;
-  horizon_ = std::min(window_end - 1, deadline);
+  horizon_ = std::min(window_end - 1, deadline_);
+  // Every shard with mail must drain this window (its parity is reused by
+  // the next one), so it runs even when its first event lies beyond the
+  // horizon.
+  active_.clear();
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    if (!shards_[s].senders.empty() ||
+        shards_[s].kernel->next_event_time() <= horizon_) {
+      active_.push_back(static_cast<std::uint32_t>(s));
+    }
+  }
+  std::sort(active_.begin(), active_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              if (shards_[a].load != shards_[b].load) {
+                return shards_[a].load > shards_[b].load;
+              }
+              return a < b;
+            });
+  next_claim_.store(0, std::memory_order_relaxed);
+  ++windows_;
   stop_ = false;
   return true;
 }
 
 void LaneGroup::finish(SimTime deadline) {
-  // Nothing at or before `deadline` remains, so this only advances drained
-  // kernels' clocks — the same clock a lone Simulator::run_until leaves.
-  for (const auto& shard : shards_) {
-    shard->run_until(deadline);
+  // Nothing at or before `deadline` remains, so after the last window's
+  // mail lands this only advances drained kernels' clocks — the same clock
+  // a lone Simulator::run_until leaves.
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    drain(s);
+    shards_[s].kernel->run_until(deadline);
   }
-}
-
-void LaneGroup::run_windows_serial(SimTime deadline) {
-  const std::size_t shard_count = shards_.size();
-  while (plan_window(deadline)) {
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      kernel(s).run_until(horizon_);
-    }
-    for (std::size_t dst = 0; dst < shard_count; ++dst) {
-      exchange(dst);
-    }
-  }
-}
-
-void LaneGroup::run_windows_threaded(SimTime deadline) {
-  if (!plan_window(deadline)) return;
-  const std::size_t shard_count = shards_.size();
-  const std::size_t lanes = lane_count_;
-
-  // Two barrier phases per window: run -> exchange -> plan. The planner
-  // runs exactly once per cycle as the second barrier's completion step,
-  // which both synchronizes the mailboxes and publishes the next horizon.
-  std::barrier<> run_done(static_cast<std::ptrdiff_t>(lanes));
-  auto plan_next = [this, deadline]() noexcept { plan_window(deadline); };
-  std::barrier<decltype(plan_next)> exchanged(
-      static_cast<std::ptrdiff_t>(lanes), plan_next);
-
-  auto lane_body = [&](std::size_t lane) {
-    // Window execution is obs-silent on every lane so counters cannot
-    // depend on which thread ran a shard (see header comment).
-    obs::ObsScope silent(nullptr);
-    for (;;) {
-      for (std::size_t s = lane; s < shard_count; s += lanes) {
-        kernel(s).run_until(horizon_);
-      }
-      run_done.arrive_and_wait();
-      for (std::size_t dst = lane; dst < shard_count; dst += lanes) {
-        exchange(dst);
-      }
-      exchanged.arrive_and_wait();
-      if (stop_) return;
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(lanes - 1);
-  for (std::size_t lane = 1; lane < lanes; ++lane) {
-    workers.emplace_back(lane_body, lane);
-  }
-  lane_body(0);
-  for (std::thread& worker : workers) worker.join();
 }
 
 void LaneGroup::run_until(SimTime deadline) {
-  if (lane_count_ == 1) {
-    obs::ObsScope silent(nullptr);
-    run_windows_serial(deadline);
-  } else {
-    run_windows_threaded(deadline);
+  deadline_ = deadline;
+  if (plan_window()) {
+    // One window loop for every lane count: with one lane the barrier's
+    // sole arriver plans inline and no thread is started.
+    SpinBarrier barrier(lane_count_);
+    // The first exception any lane throws ends the run at that window's
+    // barrier and is rethrown here once every lane has joined.
+    std::exception_ptr failure;
+    std::mutex failure_mutex;
+    auto lane_body = [this, &barrier, &failure,
+                      &failure_mutex](std::size_t lane) {
+      // Window execution is obs-silent on every lane so counters cannot
+      // depend on which thread ran a shard (see header comment).
+      obs::ObsScope silent(nullptr);
+      for (;;) {
+        try {
+          run_claimed(lane);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(failure_mutex);
+          if (!failure) failure = std::current_exception();
+        }
+        barrier.arrive_and_wait([this, &failure] {
+          if (failure) {
+            stop_ = true;
+          } else {
+            plan_window();
+          }
+        });
+        if (stop_) return;
+      }
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(lane_count_ - 1);
+    for (std::size_t lane = 1; lane < lane_count_; ++lane) {
+      workers.emplace_back(lane_body, lane);
+    }
+    lane_body(0);
+    for (std::thread& worker : workers) worker.join();
+    if (failure) std::rethrow_exception(failure);
   }
   finish(deadline);
 }
 
 bool LaneGroup::drained() const {
-  for (const auto& shard : shards_) {
-    if (!shard->empty()) return false;
+  for (const Shard& shard : shards_) {
+    if (!shard.kernel->empty()) return false;
   }
   return true;
 }
 
 SimTime LaneGroup::now() const {
   SimTime frontier = 0;
-  for (const auto& shard : shards_) {
-    frontier = std::max(frontier, shard->now());
+  for (const Shard& shard : shards_) {
+    frontier = std::max(frontier, shard.kernel->now());
   }
   return frontier;
 }
 
 std::uint64_t LaneGroup::executed_events() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->executed_events();
+  for (const Shard& shard : shards_) {
+    total += shard.kernel->executed_events();
   }
   return total;
 }
 
 std::uint64_t LaneGroup::cross_shard_messages() const {
   std::uint64_t total = 0;
-  for (const Outbox& box : outboxes_) {
-    total += box.next_seq;
+  for (const Shard& shard : shards_) {
+    for (const std::uint64_t posted : shard.next_seq) total += posted;
   }
   return total;
 }

@@ -97,8 +97,9 @@ class Simulator {
     return commit(slot, s, when);
   }
 
-  /// Overload for a pre-built callback (moved, not re-wrapped).
-  EventId schedule_at(SimTime when, Callback fn) {
+  /// Overload for a pre-built callback: moved straight into its slot, not
+  /// re-wrapped.
+  EventId schedule_at(SimTime when, Callback&& fn) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_ref(slot);
     s.fn = std::move(fn);

@@ -1,9 +1,10 @@
 // Lane-count invariance: the sharded lane engine must produce bit-identical
 // results no matter how many worker threads execute the shard decomposition
-// (DESIGN.md §14). Two existing star presets and the pod-grammar preset run
-// at lanes 1 / 2 / 4 and compare full snapshots as bytes — not tolerances —
-// and the pod snapshot is additionally pinned against a committed golden so
-// cross-version drift is caught even when all lane counts drift together.
+// (DESIGN.md §14). Two existing star presets run at lanes 1 / 2 / 4 and the
+// pod-grammar preset at lanes 1 / 2 / 3 / 4; all compare full snapshots as
+// bytes — not tolerances — and the pod snapshot is additionally pinned
+// against a committed golden so cross-version drift is caught even when all
+// lane counts drift together.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -55,16 +56,37 @@ TEST(LaneDeterminism, Table4ReducedIsLaneCountInvariant) {
   }
 }
 
+// The pod preset has 7 shards, so lanes=3 (which divides neither 7 nor the
+// busy-shard count) exercises uneven shard claiming. The star presets above
+// run on two shards, where every lane count past 2 clamps to 2.
 TEST(LaneDeterminism, PodIncastSnapshotIsLaneCountInvariantAndPinned) {
-  auto snapshot_at = [](std::size_t lanes) {
+  struct Run {
+    std::string snapshot;
+    double windows = 0.0;  ///< the engine's sim.lane.windows gauge
+  };
+  auto run_at = [](std::size_t lanes) {
     scenario::ScenarioSpec spec = scenario::preset_spec("pod-incast-reduced");
     spec.lanes = lanes;
-    return scenario::run_pod(spec).snapshot();
+    core::PodExperimentConfig config = scenario::build_pod(spec);
+    obs::ObsConfig obs_config;
+    obs_config.tracing = false;
+    obs::Observatory observatory(obs_config);
+    config.observatory = &observatory;
+    Run run{core::run_pod_experiment(config).snapshot()};
+    const obs::Gauge* windows =
+        observatory.metrics().find_gauge("sim.lane.windows");
+    if (windows != nullptr) run.windows = windows->value();
+    return run;
   };
-  const std::string one = snapshot_at(1);
-  for (const std::size_t lanes : {2u, 4u}) {
-    EXPECT_EQ(snapshot_at(lanes), one)
+  const Run first = run_at(1);
+  const std::string& one = first.snapshot;
+  EXPECT_GT(first.windows, 0.0);
+  for (const std::size_t lanes : {2u, 3u, 4u}) {
+    const Run other = run_at(lanes);
+    EXPECT_EQ(other.snapshot, one)
         << "pod-incast-reduced drifted at lanes=" << lanes;
+    EXPECT_EQ(other.windows, first.windows)
+        << "window count drifted at lanes=" << lanes;
   }
 
   // Golden pin (text, integer-only): regenerate with SRC_UPDATE_GOLDEN=1.
