@@ -146,8 +146,16 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
   }
 
   // Replay: each record is split into stripe_width chunks over consecutive
-  // targets; every chunk is pre-scheduled on its initiator's own kernel, so
-  // the whole workload is on the event lanes before the first window runs.
+  // targets. Each initiator's chunks stream through its own kernel as one
+  // batch (Simulator::schedule_batch): the kernel holds only the next chunk
+  // due, while the sequence numbers reserved here give every chunk the
+  // place in the (when, seq) order it would have had if scheduled one by
+  // one before the first window.
+  struct Chunk {
+    net::NodeId dst;
+    std::uint64_t bytes;
+    std::uint32_t tag;
+  };
   std::vector<std::uint64_t> reads_issued(n_init, 0);
   std::vector<std::uint64_t> writes_expected(n_targets, 0);
   for (std::size_t i = 0; i < n_init; ++i) {
@@ -155,6 +163,8 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
     sim::Simulator& kernel =
         lanes.kernel(network.shard_of(initiator_nodes[i]));
     const workload::Trace trace = config.trace_for(i);
+    std::vector<common::SimTime> when;
+    std::vector<Chunk> chunks;
     std::size_t chunk_cursor = 0;
     for (const workload::TraceRecord& record : trace) {
       const std::uint64_t base = record.bytes / config.stripe_width;
@@ -163,22 +173,21 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
         const std::uint64_t chunk = base + (c < rem ? 1 : 0);
         if (chunk == 0) continue;
         const std::size_t t = chunk_cursor++ % n_targets;
-        const net::NodeId dst = target_nodes[t];
+        when.push_back(record.arrival);
         if (record.type == common::IoType::kWrite) {
           ++writes_expected[t];
-          kernel.schedule_at(record.arrival, [initiator, dst, chunk] {
-            initiator->send_message(dst, chunk, 0);
-          });
+          chunks.push_back(Chunk{target_nodes[t], chunk, 0});
         } else {
           ++reads_issued[i];
-          const std::uint32_t tag =
-              kReadTagBit | static_cast<std::uint32_t>(chunk);
-          kernel.schedule_at(record.arrival, [initiator, dst, tag] {
-            initiator->send_message(dst, kCapsuleBytes, tag);
-          });
+          chunks.push_back(Chunk{target_nodes[t], kCapsuleBytes,
+                                 kReadTagBit | static_cast<std::uint32_t>(chunk)});
         }
       }
     }
+    kernel.schedule_batch(
+        when, [initiator, chunks = std::move(chunks)](std::size_t k) {
+          initiator->send_message(chunks[k].dst, chunks[k].bytes, chunks[k].tag);
+        });
   }
 
   // Run in slices, polling completion while the lanes are quiescent.

@@ -1,6 +1,7 @@
 #include "core/standalone.hpp"
 
 #include <memory>
+#include <vector>
 
 #include "nvme/fifo_driver.hpp"
 #include "sim/simulator.hpp"
@@ -37,17 +38,18 @@ StandaloneResult run_standalone(const ssd::SsdConfig& config,
         }
       });
 
-  for (const auto& rec : trace) {
-    // srclint:capture-ok(driver and sim are locals outliving the run loop)
-    sim.schedule_at(rec.arrival, [&driver, rec, &sim] {
-      nvme::IoRequest request;
-      request.type = rec.type;
-      request.lba = rec.lba;
-      request.bytes = rec.bytes;
-      request.arrival = sim.now();
-      driver->submit(request);
-    });
-  }
+  std::vector<common::SimTime> when(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) when[i] = trace[i].arrival;
+  // srclint:capture-ok(driver, sim and trace outlive the run loop below)
+  sim.schedule_batch(when, [&driver, &trace, &sim](std::size_t k) {
+    const workload::TraceRecord& rec = trace[k];
+    nvme::IoRequest request;
+    request.type = rec.type;
+    request.lba = rec.lba;
+    request.bytes = rec.bytes;
+    request.arrival = sim.now();
+    driver->submit(request);
+  });
 
   if (options.horizon > 0) {
     sim.run_until(options.horizon);

@@ -23,14 +23,17 @@ Initiator::Initiator(net::Network& network, net::NodeId host_id,
 void Initiator::run_trace(const workload::Trace& trace, TargetSelector selector) {
   auto& sim = network_.simulator();
   const common::SimTime base = sim.now();
+  std::vector<common::SimTime> when(trace.size());
+  std::vector<std::pair<workload::TraceRecord, net::NodeId>> replay;
+  replay.reserve(trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const workload::TraceRecord rec = trace[i];
-    const net::NodeId target = selector(rec, i);
-    // srclint:capture-ok(the initiator lives as long as the rig's simulator)
-    sim.schedule_at(base + rec.arrival, [this, rec, target] {
-      issue_or_defer(rec, target);
-    });
+    when[i] = base + trace[i].arrival;
+    replay.emplace_back(trace[i], selector(trace[i], i));
   }
+  // srclint:capture-ok(the initiator lives as long as the rig's simulator)
+  sim.schedule_batch(when, [this, replay = std::move(replay)](std::size_t k) {
+    issue_or_defer(replay[k].first, replay[k].second);
+  });
 }
 
 void Initiator::issue_or_defer(const workload::TraceRecord& rec,

@@ -70,7 +70,10 @@ class Initiator {
   Initiator(net::Network& network, net::NodeId host_id, FabricContext& context);
 
   /// Schedule the whole trace for replay; records are issued at their
-  /// arrival times (relative to now). With a max-outstanding limit set,
+  /// arrival times (relative to now). The selector runs for every record
+  /// here, in trace order; the records then stream through the kernel as
+  /// one batch, so the calendar holds only the next arrival (see
+  /// Simulator::schedule_batch). With a max-outstanding limit set,
   /// records whose turn arrives while the limit is reached queue locally
   /// and issue as completions free slots (closed-loop behaviour).
   void run_trace(const workload::Trace& trace, TargetSelector selector);

@@ -25,10 +25,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <unordered_map>
-#include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "net/packet.hpp"
 
@@ -118,24 +117,28 @@ class FabricContext {
 
   void bind_message(std::uint64_t message_id, std::uint64_t request_id,
                     MessageRole role = MessageRole::kCommand) {
-    message_to_request_.emplace(message_id, Binding{request_id, role});
+    if (bindings_.find(message_id) != nullptr) return;  // first binding wins
+    std::uint64_t* head = request_messages_.find(request_id);
+    bindings_[message_id] =
+        Binding{request_id, head != nullptr ? *head : 0, head != nullptr, role};
+    request_messages_[request_id] = message_id;
   }
 
   /// Resolve and consume the binding for a delivered message. Returns
   /// kNoBinding when the message was cancelled/expired (the delivery must
   /// then be ignored).
   std::uint64_t take_message_binding(std::uint64_t message_id) {
-    const auto it = message_to_request_.find(message_id);
-    if (it == message_to_request_.end()) return kNoBinding;
-    const std::uint64_t request_id = it->second.request_id;
-    message_to_request_.erase(it);
+    const Binding* bound = bindings_.find(message_id);
+    if (bound == nullptr) return kNoBinding;
+    const std::uint64_t request_id = bound->request_id;
+    unbind(message_id);
     return request_id;
   }
 
   /// Cancel one in-flight message's binding (retry path: the original
   /// capsule must not be honoured if it straggles in after the resend).
   void cancel_message(std::uint64_t message_id) {
-    message_to_request_.erase(message_id);
+    if (bindings_.find(message_id) != nullptr) unbind(message_id);
   }
 
   /// Drop every binding that points at `request_id`, regardless of role —
@@ -153,31 +156,85 @@ class FabricContext {
   }
 
   std::size_t outstanding_requests() const { return requests_.size(); }
-  std::size_t outstanding_bindings() const { return message_to_request_.size(); }
+  std::size_t outstanding_bindings() const { return bindings_.size(); }
 
  private:
+  /// One live binding, linked into its request's list of bound messages.
   struct Binding {
     std::uint64_t request_id = 0;
+    std::uint64_t next = 0;  ///< next message bound to the same request
+    bool has_next = false;   ///< message ids are opaque: no sentinel value
     MessageRole role = MessageRole::kCommand;
   };
 
-  void expire(std::uint64_t request_id, bool commands_only) {
-    std::vector<std::uint64_t> stale;
-    for (const auto& [message_id, bound] : message_to_request_) {
-      if (bound.request_id != request_id) continue;
-      if (commands_only && bound.role == MessageRole::kResponse) continue;
-      stale.push_back(message_id);
+  // FlatMap64 moves entries on insert (growth) and erase (backward shift),
+  // so the helpers below re-find a binding after every erase instead of
+  // holding pointers across one.
+
+  /// Remove a live binding from both indexes. A request holds a handful of
+  /// bindings at most (command, response, one per retry), so finding the
+  /// predecessor in its list is a short walk.
+  void unbind(std::uint64_t message_id) {
+    const Binding gone = *bindings_.find(message_id);
+    bindings_.erase(message_id);
+    std::uint64_t* head = request_messages_.find(gone.request_id);
+    if (*head == message_id) {
+      if (gone.has_next) {
+        *head = gone.next;
+      } else {
+        request_messages_.erase(gone.request_id);
+      }
+      return;
     }
-    for (const std::uint64_t message_id : stale) {
-      message_to_request_.erase(message_id);
+    Binding* prev = bindings_.find(*head);
+    while (prev->next != message_id) prev = bindings_.find(prev->next);
+    prev->next = gone.next;
+    prev->has_next = gone.has_next;
+  }
+
+  /// Walk only `request_id`'s own bindings, dropping them (or, for a
+  /// retry, only its commands) and relinking the survivors in order.
+  void expire(std::uint64_t request_id, bool commands_only) {
+    const std::uint64_t* head = request_messages_.find(request_id);
+    if (head == nullptr) return;
+    std::uint64_t message_id = *head;
+    bool kept_any = false;
+    std::uint64_t kept_tail = 0;
+    for (;;) {
+      const Binding bound = *bindings_.find(message_id);
+      if (commands_only && bound.role == MessageRole::kResponse) {
+        if (kept_any) {
+          Binding* tail = bindings_.find(kept_tail);
+          tail->next = message_id;
+          tail->has_next = true;
+        } else {
+          *request_messages_.find(request_id) = message_id;
+        }
+        kept_any = true;
+        kept_tail = message_id;
+      } else {
+        bindings_.erase(message_id);
+      }
+      if (!bound.has_next) break;
+      message_id = bound.next;
+    }
+    if (kept_any) {
+      bindings_.find(kept_tail)->has_next = false;
+    } else {
+      request_messages_.erase(request_id);
     }
   }
 
   std::uint64_t next_request_id_ = 0;
   std::unordered_map<std::uint64_t, RequestInfo> requests_;
-  /// Ordered map: expire() iterates it, and message-id order (not
-  /// hash-table layout) must decide the erase sequence.
-  std::map<std::uint64_t, Binding> message_to_request_;
+  /// message id -> binding. Lookups only: FlatMap64 offers no iteration, so
+  /// hash layout can never decide anything (determinism rule R2).
+  common::FlatMap64<Binding> bindings_;
+  /// request id -> most recently bound message of that request, the head
+  /// of its list. expire() visits one request's messages instead of
+  /// scanning every live binding, which under an in-cast backlog made
+  /// each completion cost O(outstanding bindings).
+  common::FlatMap64<std::uint64_t> request_messages_;
 };
 
 }  // namespace src::fabric

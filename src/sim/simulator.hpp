@@ -21,13 +21,19 @@
 //    both fixes the historical unbounded growth of the tombstone set when
 //    already-fired events were cancelled and removes the per-step hash
 //    lookup the old `unordered_set` design paid.
+//  - Streamed batches (schedule_batch) reserve one sequence number per
+//    event up front but keep only the batch's next event in the calendar,
+//    so a replayed trace costs one heap entry instead of one per record.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -110,6 +116,38 @@ class Simulator {
   template <typename F>
   EventId schedule_in(SimTime delay, F&& fn) {
     return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Schedule one event per entry of `when`: `fire(k)` runs at `when[k]`
+  /// (absolute, clamped to now() like schedule_at). Events pop in exactly
+  /// the (when, seq) order that `when.size()` schedule_at calls made here,
+  /// in index order, would give them. The call reserves that many
+  /// consecutive sequence numbers, stable-sorts the times and hands the
+  /// numbers out in sorted order; no other event can hold a number inside
+  /// the range, so the permutation changes no comparison with one. Only
+  /// the batch's next event sits in the calendar: firing event k first
+  /// schedules event k+1 under its reserved number, then runs `fire`.
+  /// The kernel owns the batch (`fire` and its captures) until its last
+  /// event has run. Batch events have no EventId and cannot be cancelled.
+  void schedule_batch(std::span<const SimTime> when,
+                      std::function<void(std::size_t)> fire) {
+    if (when.empty()) return;
+    if (when.size() > kMaxSeq - next_seq_) {
+      throw std::length_error("Simulator: sequence number space exhausted");
+    }
+    auto batch = std::make_unique<Batch>();
+    batch->fire = std::move(fire);
+    batch->order.reserve(when.size());
+    for (std::size_t k = 0; k < when.size(); ++k) {
+      batch->order.push_back(Batch::Arrival{when[k] > now_ ? when[k] : now_, k});
+    }
+    std::stable_sort(batch->order.begin(), batch->order.end(),
+                     [](const Batch::Arrival& a, const Batch::Arrival& b) {
+                       return a.when < b.when;
+                     });
+    batch->first_seq = next_seq_ + 1;
+    next_seq_ += when.size();
+    push_batch_event(std::move(batch));
   }
 
   /// Cancel a pending event. Safe to call on already-fired, already-
@@ -262,6 +300,42 @@ class Simulator {
       sim->free_slots_.push_back(slot);
     }
   };
+
+  /// A streamed batch: its events in firing order and the sequence number
+  /// reserved for the first. Owned by the closure of its pending event.
+  struct Batch {
+    struct Arrival {
+      SimTime when;       ///< clamped event time
+      std::size_t index;  ///< position in the caller's `when`
+    };
+    std::vector<Arrival> order;  ///< stable-sorted by time
+    std::function<void(std::size_t)> fire;
+    std::uint64_t first_seq = 0;
+    std::size_t next = 0;  ///< next entry of `order` to fire
+  };
+
+  /// Put the batch's next event in the calendar under its reserved number;
+  /// the event's closure carries the batch's ownership.
+  void push_batch_event(std::unique_ptr<Batch> batch) {
+    Batch& b = *batch;
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slot_ref(slot);
+    s.fn.emplace([this, owner = std::move(batch)]() mutable { fire_batch(owner); });
+    s.seq = b.first_seq + b.next;
+    heap_push(Entry{(s.seq << kSlotBits) | slot,
+                    static_cast<std::uint64_t>(b.order[b.next].when)});
+  }
+
+  /// Runs from the executing closure that owns `owner`: hand ownership to
+  /// the following event (if any) before firing, so `fire` may schedule or
+  /// even start further batches freely. After the last event the batch is
+  /// freed with the closure.
+  void fire_batch(std::unique_ptr<Batch>& owner) {
+    Batch& b = *owner;
+    const std::size_t index = b.order[b.next].index;
+    if (++b.next < b.order.size()) push_batch_event(std::move(owner));
+    b.fire(index);
+  }
 
   Slot& slot_ref(std::uint32_t slot) {
     return slot_chunks_[slot >> kSlotChunkBits]

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "net/topology.hpp"
 #include "workload/micro.hpp"
 
@@ -245,6 +249,109 @@ TEST(FabricContextTest, CompleteRequestExpiresStragglerBindings) {
   EXPECT_EQ(context.outstanding_requests(), 0u);
   EXPECT_EQ(context.outstanding_bindings(), 0u);
   EXPECT_EQ(context.take_message_binding(9), kNoBinding);
+}
+
+// A retry drops the superseded capsule's binding but keeps a response
+// already under way; completion then drops what is left.
+TEST(FabricContextTest, RetryExpiresCommandsButKeepsResponses) {
+  FabricContext context;
+  const std::uint64_t id = context.new_request(RequestInfo{});
+  const std::uint64_t other = context.new_request(RequestInfo{});
+  context.bind_message(1, id);
+  context.bind_message(2, id, MessageRole::kResponse);
+  context.bind_message(3, other);
+  context.bind_message(4, id);
+  context.bind_message(5, id, MessageRole::kResponse);
+  context.expire_request_commands(id);
+  EXPECT_EQ(context.outstanding_bindings(), 3u);
+  EXPECT_EQ(context.take_message_binding(1), kNoBinding);
+  EXPECT_EQ(context.take_message_binding(4), kNoBinding);
+  EXPECT_EQ(context.take_message_binding(5), id);
+  context.bind_message(6, id);  // the resent capsule
+  context.complete_request(id);
+  EXPECT_EQ(context.take_message_binding(2), kNoBinding);
+  EXPECT_EQ(context.take_message_binding(6), kNoBinding);
+  EXPECT_EQ(context.take_message_binding(3), other);
+  EXPECT_EQ(context.outstanding_bindings(), 0u);
+}
+
+// Completing a request must cost O(its own bindings), not O(every live
+// binding): under a write in-cast backlog thousands of requests are in
+// flight at once. A whole-map scan per completion makes this test run for
+// hours, far past the ctest TIMEOUT; the per-request index finishes it in
+// milliseconds.
+TEST(FabricContextTest, CompletingManyLiveRequestsVisitsOnlyTheirBindings) {
+  constexpr std::size_t kRequests = 200'000;
+  FabricContext context;
+  std::vector<std::uint64_t> ids(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    ids[i] = context.new_request(RequestInfo{});
+    context.bind_message(2 * i + 1, ids[i]);  // command capsule
+    context.bind_message(2 * i + 2, ids[i], MessageRole::kResponse);
+  }
+  EXPECT_EQ(context.outstanding_bindings(), 2 * kRequests);
+  for (std::size_t i = 0; i < kRequests; i += 3) {
+    context.expire_request_commands(ids[i]);  // retried: command gone
+  }
+  EXPECT_EQ(context.outstanding_bindings(), 2 * kRequests - (kRequests + 2) / 3);
+  for (std::size_t i = 1; i < kRequests; i += 2) context.complete_request(ids[i]);
+  // The even requests are untouched by their neighbours' completions.
+  EXPECT_EQ(context.take_message_binding(1), kNoBinding);  // retried
+  EXPECT_EQ(context.take_message_binding(2), ids[0]);
+  EXPECT_EQ(context.take_message_binding(5), ids[2]);
+  EXPECT_EQ(context.take_message_binding(3), kNoBinding);  // completed
+  for (std::size_t i = 0; i < kRequests; i += 2) context.complete_request(ids[i]);
+  EXPECT_EQ(context.outstanding_requests(), 0u);
+  EXPECT_EQ(context.outstanding_bindings(), 0u);
+}
+
+// run_trace streams the trace through the kernel: the calendar holds one
+// arrival entry per replayed trace, and every record is still issued at
+// its own arrival time, sorted or not, with the selector run once per
+// record in trace order.
+TEST(FabricTest, RunTraceKeepsOneArrivalInTheCalendar) {
+  Rig rig;
+  std::vector<std::pair<std::uint64_t, common::SimTime>> issued;  // lba, time
+  rig.target->set_submit_listener([&](const RequestInfo& info) {
+    issued.emplace_back(info.lba, info.issue_time);
+  });
+  std::vector<std::size_t> selected;
+  auto selector = [&](const workload::TraceRecord&, std::size_t index) {
+    selected.push_back(index);
+    return rig.target->node_id();
+  };
+  std::map<std::uint64_t, common::SimTime> expected;  // lba -> issue time
+
+  workload::Trace unsorted;
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    const common::SimTime at = common::microseconds(10.0 * static_cast<double>((i * 37) % 20));
+    unsorted.push_back({at, i % 3 == 0 ? IoType::kWrite : IoType::kRead, i << 20, 8192});
+    expected[i << 20] = at;
+  }
+  std::size_t before = rig.sim.pending_events();
+  rig.initiator->run_trace(unsorted, selector);
+  EXPECT_EQ(rig.sim.pending_events(), before + 1);
+  EXPECT_EQ(selected.size(), unsorted.size());
+  for (std::size_t i = 0; i < selected.size(); ++i) EXPECT_EQ(selected[i], i);
+
+  rig.sim.run_until(common::microseconds(95.0));  // part of the first trace
+  const common::SimTime base = rig.sim.now();
+  workload::Trace sorted;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const std::uint64_t lba = (100 + i) << 20;
+    const common::SimTime at = common::microseconds(5.0 * static_cast<double>(i / 2));
+    sorted.push_back({at, i % 2 == 0 ? IoType::kRead : IoType::kWrite, lba, 4096});
+    expected[lba] = base + at;
+  }
+  before = rig.sim.pending_events();
+  rig.initiator->run_trace(sorted, selector);
+  EXPECT_EQ(rig.sim.pending_events(), before + 1);
+  EXPECT_EQ(selected.size(), unsorted.size() + sorted.size());
+
+  rig.sim.run();
+  EXPECT_TRUE(rig.initiator->all_complete());
+  ASSERT_EQ(issued.size(), expected.size());
+  for (const auto& [lba, at] : issued) EXPECT_EQ(at, expected.at(lba)) << lba;
 }
 
 TEST(FabricTest, ClosedLoopLimitsQueueGrowthVsOpenLoop) {

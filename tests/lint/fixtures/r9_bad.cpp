@@ -28,4 +28,13 @@ void cascade(Sim& sim, int& counter) {
   run_later(sim, 3, [&counter] { ++counter; });
 }
 
+// A streamed batch is scheduling API too: every `fire` call runs later.
+struct Batches {
+  template <typename F> void schedule_batch(const long* when, F&& fire);
+};
+
+void replay(Batches& batches, int& counter) {
+  batches.schedule_batch(nullptr, [&counter](unsigned long) { ++counter; });
+}
+
 }  // namespace fx

@@ -297,6 +297,8 @@ TEST(SrclintR9, FiresOnRefAndThisCapturesIncludingWrappers) {
                 // schedule_at, so a by-ref lambda handed to it is deferred.
                 path + ":28: R9: lambda passed to scheduler 'run_later' "
                        "captures by reference" + msg,
+                path + ":37: R9: lambda passed to scheduler 'schedule_batch' "
+                       "captures by reference" + msg,
             }));
 }
 
@@ -339,7 +341,7 @@ TEST(SrclintFormats, SarifIsValidJsonWithRuleMetadata) {
   EXPECT_EQ(driver.find("name")->as_string(), "srclint");
   EXPECT_EQ(driver.find("rules")->as_array().size(), 9u);  // R1..R9 documented
   const auto& results = runs[0].find("results")->as_array();
-  ASSERT_EQ(results.size(), 4u);
+  ASSERT_EQ(results.size(), 5u);  // one per r9_bad.cpp finding
   EXPECT_EQ(results[0].find("ruleId")->as_string(), "R9");
   EXPECT_EQ(results[0].find("level")->as_string(), "error");
   const obs::Json& location = results[0].find("locations")->as_array()[0];

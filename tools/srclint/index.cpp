@@ -287,7 +287,8 @@ std::vector<Token> strip_preprocessor(const std::vector<Token>& tokens) {
 SymbolIndex build_index(const std::vector<LexedFile>& files,
                         bool scope_by_dir) {
   SymbolIndex index;
-  index.scheduler_functions = {"schedule", "schedule_at", "schedule_after"};
+  index.scheduler_functions = {"schedule", "schedule_at", "schedule_after",
+                               "schedule_batch"};
 
   for (const LexedFile& file : files) {
     const std::vector<Token> toks = strip_preprocessor(file.tokens);
@@ -381,7 +382,7 @@ SymbolIndex build_index(const std::vector<LexedFile>& files,
       if (seeds_wrappers && is_ident(t) && i + 1 < toks.size() &&
           is_punct(toks[i + 1], "(") &&
           (t.text == "schedule" || t.text == "schedule_at" ||
-           t.text == "schedule_after")) {
+           t.text == "schedule_after" || t.text == "schedule_batch")) {
         for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
           if (it->kind == Scope::kFunction) {
             if (!it->name.empty()) {

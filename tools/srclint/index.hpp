@@ -8,8 +8,9 @@
 //   - names declared anywhere with a floating-point type (R7 feeds
 //     `==`/`!=` and reduction checks from it);
 //   - functions whose bodies call the simulator scheduling API directly
-//     (`schedule` / `schedule_at` / `schedule_after`) — R9 treats a
-//     lambda passed to any of them as a deferred callback, cross-TU.
+//     (`schedule` / `schedule_at` / `schedule_after` / `schedule_batch`)
+//     — R9 treats a lambda passed to any of them as a deferred callback,
+//     cross-TU.
 //
 // The scanner is token-level and heuristic by design: it tracks a scope
 // stack (namespace / type / function / block), classifies every `{` from

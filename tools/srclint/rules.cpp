@@ -28,7 +28,8 @@ const std::unordered_set<std::string> kExprKeywords = {
 /// R3: member calls that mutate simulation state (scheduling, container
 /// mutation, RNG consumption).
 const std::unordered_set<std::string> kMutatingApis = {
-    "schedule",     "schedule_at", "schedule_after", "cancel",
+    "schedule",     "schedule_at", "schedule_after", "schedule_batch",
+    "cancel",
     "push_back",    "pop_front",   "pop_back",       "emplace",
     "emplace_back", "insert",      "erase",          "clear",
     "reset",        "resize",      "fork",           "next_u64",
