@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
+#include "common/flat_map.hpp"
 #include "common/latency.hpp"
 #include "common/types.hpp"
 #include "nvme/io_request.hpp"
@@ -148,7 +148,7 @@ class NvmeDriver {
   std::uint32_t in_flight_writes_ = 0;
   std::uint64_t next_command_id_ = 0;
   // Maps command id -> original request for completion reporting.
-  std::unordered_map<std::uint64_t, IoRequest> outstanding_;
+  common::FlatMap64<IoRequest> outstanding_;
 };
 
 }  // namespace src::nvme

@@ -1,6 +1,7 @@
 #include "ssd/device.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/obs.hpp"
 
@@ -81,16 +82,37 @@ bool SsdDevice::run_gc_once(SimTime ready) {
   return true;
 }
 
-bool SsdDevice::admission_ok(std::uint64_t lba, std::uint32_t bytes) const {
-  const std::uint64_t base = first_page(lba);
-  const std::uint32_t pages = page_count(lba, bytes);
-  const SimTime window = cfg_.admission_window();
-  for (std::uint32_t i = 0; i < pages; ++i) {
-    if (backend_.chip_backlog(backend_.place(base + i), sim_.now()) >= window) {
-      return false;
+SimTime SsdDevice::admission_open_at(std::uint64_t lba, std::uint32_t bytes) const {
+  const std::uint64_t version = backend_.chip_version();
+  for (std::size_t i = 0; i < gate_memo_.size(); ++i) {
+    const GateMemo& m = gate_memo_[i];
+    if (m.version == version && m.lba == lba && m.bytes == bytes) {
+      gate_memo_victim_ = 1 - i;
+      return m.open_at;
     }
   }
-  return true;
+  // backlog >= window on some chip  <=>  now <= free_at - window on it, so
+  // the gate opens at the latest chip free-at time minus window plus one;
+  // a window <= 0 never opens (every backlog is >= 0). Static striping
+  // visits every chip once per chip_count() consecutive pages, so longer
+  // commands add no new chips.
+  const SimTime window = cfg_.admission_window();
+  const std::uint64_t base = first_page(lba);
+  const std::uint64_t pages =
+      std::min<std::uint64_t>(page_count(lba, bytes), backend_.chip_count());
+  SimTime open_at = common::kTimeInfinity;
+  if (pages == 0) {
+    open_at = std::numeric_limits<SimTime>::min();  // touches no chip
+  } else if (window > 0) {
+    SimTime latest_free = backend_.chip_free_at(backend_.place(base));
+    for (std::uint64_t i = 1; i < pages; ++i) {
+      latest_free = std::max(latest_free, backend_.chip_free_at(backend_.place(base + i)));
+    }
+    open_at = latest_free - window + 1;
+  }
+  gate_memo_[gate_memo_victim_] = GateMemo{lba, bytes, version, open_at};
+  gate_memo_victim_ = 1 - gate_memo_victim_;
+  return open_at;
 }
 
 void SsdDevice::execute(const NvmeCommand& cmd, CompletionFn on_complete) {

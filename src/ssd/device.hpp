@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -68,7 +69,11 @@ class SsdDevice {
   /// backlog than the configured admission window. Drivers hold commands in
   /// their submission queues until this passes, so fetch arbitration (WRR)
   /// — not unbounded internal queues — decides how flash time is shared.
-  bool admission_ok(std::uint64_t lba, std::uint32_t bytes) const;
+  /// O(1) when asked again about the same command before any chip's
+  /// free-at time changed (DESIGN §10.8).
+  bool admission_ok(std::uint64_t lba, std::uint32_t bytes) const {
+    return sim_.now() >= admission_open_at(lba, bytes);
+  }
   const SsdStats& stats() const { return stats_; }
   std::uint64_t cache_used_bytes() const { return cache_used_; }
   double cmt_hit_ratio() const { return cmt_.hit_ratio(); }
@@ -110,6 +115,7 @@ class SsdDevice {
     return ftl_ ? ftl_->stats().write_amplification() : 1.0;
   }
   const Ftl* ftl() const { return ftl_.get(); }
+  const FlashBackend& backend() const { return backend_; }
 
  private:
   struct DirtyEntry {
@@ -120,6 +126,9 @@ class SsdDevice {
     std::function<void(common::SimTime)> on_drained;
   };
 
+  /// Earliest time admission_ok(lba, bytes) holds while no chip's free-at
+  /// time changes. Memoized on (lba, bytes, chip version).
+  SimTime admission_open_at(std::uint64_t lba, std::uint32_t bytes) const;
   void execute_read(const NvmeCommand& cmd, CompletionFn on_complete);
   void execute_write(const NvmeCommand& cmd, CompletionFn on_complete);
   void pump_drain();
@@ -144,6 +153,17 @@ class SsdDevice {
   SsdStats stats_;
 
   std::uint32_t trace_lane_ = 0;
+
+  // Admission memo: one entry per driver queue front (the SSQ driver asks
+  // about its RSQ and WSQ fronts at every fetch attempt).
+  struct GateMemo {
+    std::uint64_t lba = 0;
+    std::uint32_t bytes = 0;
+    std::uint64_t version = ~std::uint64_t{0};  ///< never a live version
+    SimTime open_at = 0;
+  };
+  mutable std::array<GateMemo, 2> gate_memo_{};
+  mutable std::size_t gate_memo_victim_ = 0;
 
   // Fault-injection state (see src/fault): healthy devices never consult
   // the RNG, so enabling the subsystem elsewhere cannot perturb a run.

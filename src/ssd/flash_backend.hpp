@@ -103,9 +103,16 @@ class FlashBackend {
 
   /// How far ahead of `now` this chip's queue extends.
   SimTime chip_backlog(Placement p, SimTime now) const {
-    const SimTime free_at = chip_free_[chip_index_const(p)];
+    const SimTime free_at = chip_free_at(p);
     return free_at > now ? free_at - now : 0;
   }
+
+  /// When this chip's queued operations end.
+  SimTime chip_free_at(Placement p) const { return chip_free_[chip_index_const(p)]; }
+
+  /// Changes whenever any chip's free-at time may have changed, so a value
+  /// computed from chip free-at times stays exact while this is unchanged.
+  std::uint64_t chip_version() const { return chip_version_; }
 
   /// Earliest time any unit becomes free (diagnostics only).
   SimTime earliest_free() const {
@@ -133,13 +140,17 @@ class FlashBackend {
   std::size_t chip_index_const(Placement p) const {
     return static_cast<std::size_t>(p.channel) * cfg_.chips_per_channel + p.chip;
   }
-  SimTime& chip_at(Placement p) { return chip_free_[chip_index(p)]; }
+  SimTime& chip_at(Placement p) {
+    ++chip_version_;
+    return chip_free_[chip_index(p)];
+  }
 
   SsdConfig cfg_;
   std::vector<SimTime> channel_free_;
   std::vector<SimTime> chip_free_;
   std::vector<SimTime> chip_busy_;  ///< accumulated busy time per chip
   double latency_scale_ = 1.0;
+  std::uint64_t chip_version_ = 0;
 };
 
 }  // namespace src::ssd

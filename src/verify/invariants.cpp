@@ -16,6 +16,11 @@ std::string eq3(const char* lhs, std::uint64_t got, const char* rhs,
          " = " + std::to_string(want);
 }
 
+bool ranges_overlap(std::uint64_t lba_a, std::uint64_t bytes_a,
+                    std::uint64_t lba_b, std::uint64_t bytes_b) {
+  return lba_a < lba_b + bytes_b && lba_b < lba_a + bytes_a;
+}
+
 }  // namespace
 
 void check_io_accounting(const InitiatorSnapshot& s, bool at_drain,
@@ -129,6 +134,39 @@ void check_retry_bound(const InitiatorSnapshot& s, common::SimTime when,
                ", timeouts = " + std::to_string(s.timeouts) +
                ", max_attempts = " + std::to_string(s.max_attempts));
   }
+}
+
+void OverlapOrderShadow::dispatched(const RequestSnapshot& request,
+                                    common::SimTime when,
+                                    std::vector<Violation>& out) {
+  std::size_t found = undispatched_.size();
+  for (std::size_t i = 0; i < undispatched_.size(); ++i) {
+    const RequestSnapshot& p = undispatched_[i];
+    if (p.id == request.id && p.lba == request.lba &&
+        p.bytes == request.bytes && p.is_write == request.is_write) {
+      found = i;
+      break;
+    }
+  }
+  if (found == undispatched_.size()) {
+    report(out, kOverlapOrderChecker, when, label_,
+           "dispatched request " + std::to_string(request.id) +
+               " was never submitted");
+    return;
+  }
+  for (std::size_t i = 0; i < found; ++i) {
+    const RequestSnapshot& p = undispatched_[i];
+    if (!(p.is_write || request.is_write)) continue;
+    if (!ranges_overlap(p.lba, p.bytes, request.lba, request.bytes)) continue;
+    report(out, kOverlapOrderChecker, when, label_,
+           "request " + std::to_string(request.id) + " (lba " +
+               std::to_string(request.lba) + "+" +
+               std::to_string(request.bytes) + ") dispatched before " +
+               "overlapping earlier request " + std::to_string(p.id) +
+               " (lba " + std::to_string(p.lba) + "+" +
+               std::to_string(p.bytes) + ")");
+  }
+  undispatched_.erase(undispatched_.begin() + static_cast<std::ptrdiff_t>(found));
 }
 
 }  // namespace src::verify

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -136,6 +137,14 @@ struct SsqSnapshot {
   std::uint32_t write_tokens = 0;
 };
 
+/// One request as the overlap-order law sees it.
+struct RequestSnapshot {
+  std::uint64_t id = 0;
+  std::uint64_t lba = 0;
+  std::uint64_t bytes = 0;
+  bool is_write = false;
+};
+
 // ---------------------------------------------------------------------------
 // Pure checkers. Each appends any violations to `out`, labelling them with
 // `when` and the component name in `label` (e.g. "initiator[0]").
@@ -158,5 +167,29 @@ void check_ssq_tokens(const SsqSnapshot& s, common::SimTime when,
 /// Retry-budget enforcement at an initiator.
 void check_retry_bound(const InitiatorSnapshot& s, common::SimTime when,
                        const std::string& label, std::vector<Violation>& out);
+
+/// Overlap-order law over one driver's submission stream. Feed it every
+/// request the driver accepts (its submit probe) and every request it
+/// fetches to the device (its dispatch handler); RigVerifier keeps one per
+/// driver, and a test can attach one to a bare driver.
+class OverlapOrderShadow {
+ public:
+  explicit OverlapOrderShadow(std::string label) : label_(std::move(label)) {}
+
+  void submitted(const RequestSnapshot& request) { undispatched_.push_back(request); }
+
+  /// Reports a dispatch of a request that was never submitted, and every
+  /// earlier-submitted, still-pending request overlapping this one (a
+  /// write on either side) — each of those has been overtaken.
+  void dispatched(const RequestSnapshot& request, common::SimTime when,
+                  std::vector<Violation>& out);
+
+  /// Submitted requests not dispatched yet.
+  std::size_t pending() const { return undispatched_.size(); }
+
+ private:
+  std::string label_;
+  std::vector<RequestSnapshot> undispatched_;  ///< in submission order
+};
 
 }  // namespace src::verify

@@ -58,9 +58,9 @@ SsqSnapshot snapshot_of(const nvme::SsqDriver& driver) {
   return s;
 }
 
-bool ranges_overlap(std::uint64_t lba_a, std::uint64_t bytes_a,
-                    std::uint64_t lba_b, std::uint64_t bytes_b) {
-  return lba_a < lba_b + bytes_b && lba_b < lba_a + bytes_a;
+RequestSnapshot snapshot_of(const nvme::IoRequest& request) {
+  return RequestSnapshot{request.id, request.lba, request.bytes,
+                         request.type == common::IoType::kWrite};
 }
 
 }  // namespace
@@ -104,62 +104,26 @@ void RigVerifier::install_overlap_probes() {
   for (std::size_t t = 0; t < targets_.size(); ++t) {
     fabric::Target* target = targets_[t];
     for (std::size_t d = 0; d < target->device_count(); ++d) {
-      DriverShadow shadow;
-      shadow.driver = &target->driver(d);
-      shadow.label = "target[" + std::to_string(t) + "].driver[" +
-                     std::to_string(d) + "]";
-      shadows_.push_back(std::move(shadow));
+      shadows_.push_back(DriverShadow{
+          &target->driver(d),
+          OverlapOrderShadow("target[" + std::to_string(t) + "].driver[" +
+                             std::to_string(d) + "]")});
     }
   }
   for (std::size_t i = 0; i < shadows_.size(); ++i) {
-    shadows_[i].driver->set_submit_probe(
-        [this, i](const nvme::IoRequest& request) { on_submit(i, request); });
+    shadows_[i].driver->set_submit_probe([this, i](const nvme::IoRequest& request) {
+      shadows_[i].order.submitted(snapshot_of(request));
+    });
     shadows_[i].driver->set_dispatch_handler(
         [this, i](const nvme::IoRequest& request) { on_dispatch(i, request); });
   }
 }
 
-void RigVerifier::on_submit(std::size_t shadow, const nvme::IoRequest& request) {
-  DriverShadow& s = shadows_[shadow];
-  s.pending.push_back(PendingSubmit{s.next_seq++, request.id, request.lba,
-                                    request.bytes,
-                                    request.type == common::IoType::kWrite});
-}
-
 void RigVerifier::on_dispatch(std::size_t shadow,
                               const nvme::IoRequest& request) {
-  DriverShadow& s = shadows_[shadow];
-  const bool is_write = request.type == common::IoType::kWrite;
-  std::size_t found = s.pending.size();
-  for (std::size_t i = 0; i < s.pending.size(); ++i) {
-    const PendingSubmit& p = s.pending[i];
-    if (p.id == request.id && p.lba == request.lba &&
-        p.bytes == request.bytes && p.is_write == is_write) {
-      found = i;
-      break;
-    }
-  }
-  if (found == s.pending.size()) {
-    record(kOverlapOrderChecker,
-           s.label + ": dispatched request " + std::to_string(request.id) +
-               " was never submitted");
-    return;
-  }
-  // Every earlier-submitted, still-pending request that overlaps this one
-  // (with a write on either side) has been overtaken: a consistency breach.
-  for (std::size_t i = 0; i < found; ++i) {
-    const PendingSubmit& p = s.pending[i];
-    if (!(p.is_write || is_write)) continue;
-    if (!ranges_overlap(p.lba, p.bytes, request.lba, request.bytes)) continue;
-    record(kOverlapOrderChecker,
-           s.label + ": request " + std::to_string(request.id) + " (lba " +
-               std::to_string(request.lba) + "+" +
-               std::to_string(request.bytes) + ") dispatched before " +
-               "overlapping earlier request " + std::to_string(p.id) +
-               " (lba " + std::to_string(p.lba) + "+" +
-               std::to_string(p.bytes) + ")");
-  }
-  s.pending.erase(s.pending.begin() + static_cast<std::ptrdiff_t>(found));
+  std::vector<Violation> found;
+  shadows_[shadow].order.dispatched(snapshot_of(request), sim_.now(), found);
+  for (Violation& v : found) record(kOverlapOrderChecker, std::move(v.detail));
 }
 
 void RigVerifier::schedule_poll() {

@@ -47,23 +47,12 @@ class RigVerifier {
   const std::shared_ptr<Report>& report() const { return report_; }
 
  private:
-  /// Shadow of one driver's submission stream for the overlap-order law.
-  struct PendingSubmit {
-    std::uint64_t seq = 0;  ///< per-driver submission order
-    std::uint64_t id = 0;
-    std::uint64_t lba = 0;
-    std::uint64_t bytes = 0;
-    bool is_write = false;
-  };
   struct DriverShadow {
     nvme::NvmeDriver* driver = nullptr;
-    std::string label;
-    std::vector<PendingSubmit> pending;  ///< submitted, not yet dispatched
-    std::uint64_t next_seq = 0;
+    OverlapOrderShadow order;
   };
 
   void install_overlap_probes();
-  void on_submit(std::size_t shadow, const nvme::IoRequest& request);
   void on_dispatch(std::size_t shadow, const nvme::IoRequest& request);
 
   void schedule_poll();

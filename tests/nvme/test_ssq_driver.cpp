@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ssd/device.hpp"
+#include "verify/invariants.hpp"
 
 namespace src::nvme {
 namespace {
@@ -155,6 +156,53 @@ TEST(SsqDriverTest, ConsistencyPreservesOrderForDependentPair) {
     if (h.completed[i].id == 3) write_pos = i;
   }
   EXPECT_LT(read_pos, write_pos);
+}
+
+// Known ordering gap, pinned (DESIGN §4): a request whose pages are
+// already pinned to *both* queues is routed by its first pinned page, so it
+// can overtake an earlier overlapping request waiting in the other queue.
+// The overlap-order law must flag exactly that dispatch. Routing such a
+// request correctly changes results and is left for a dedicated change.
+TEST(SsqDriverTest, SplitPinnedRequestFollowsFirstPageAndBreaksOverlapOrder) {
+  ssd::SsdConfig cfg = open_admission();
+  cfg.queue_depth = 2;                        // read cap 1, write cap 1
+  cfg.write_cache_bytes = 0;                  // every write programs flash
+  cfg.write_latency = 3 * common::kMillisecond;  // the filler write stays in flight
+  Harness h(cfg);
+  verify::OverlapOrderShadow law("ssq");
+  std::vector<verify::Violation> violations;
+  std::vector<std::uint64_t> dispatched;
+  const auto snapshot = [](const IoRequest& r) {
+    return verify::RequestSnapshot{r.id, r.lba, r.bytes, r.type == IoType::kWrite};
+  };
+  h.driver.set_submit_probe([&](const IoRequest& r) { law.submitted(snapshot(r)); });
+  h.driver.set_dispatch_handler([&](const IoRequest& r) {
+    dispatched.push_back(r.id);
+    law.dispatched(snapshot(r), h.sim.now(), violations);
+  });
+
+  constexpr std::uint32_t kPage = 16384;  // pages 0-3 sit on four channels
+  h.driver.submit(h.make(1, IoType::kWrite, 2 * kPage, kPage));  // fetched
+  h.driver.submit(h.make(2, IoType::kRead, 3 * kPage, kPage));   // fetched, QD full
+  h.driver.submit(h.make(3, IoType::kRead, 0, kPage));           // page 0 -> RSQ
+  h.driver.submit(h.make(4, IoType::kWrite, kPage, kPage));      // page 1 -> WSQ
+  h.driver.submit(h.make(5, IoType::kWrite, 0, 2 * kPage));      // pages 0 and 1
+  // Routed by its first page: into RSQ behind request 3, not behind 4.
+  EXPECT_EQ(h.driver.rsq_depth(), 2u);
+  EXPECT_EQ(h.driver.wsq_depth(), 1u);
+  EXPECT_EQ(h.driver.ssq_stats().consistency_redirects, 1u);
+
+  h.sim.run();
+  ASSERT_EQ(h.completed.size(), 5u);
+  // The write slot is held by request 1 while the read slot frees twice,
+  // so RSQ drains first and request 5 overtakes request 4.
+  EXPECT_EQ(dispatched, (std::vector<std::uint64_t>{1, 2, 3, 5, 4}));
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].checker, verify::kOverlapOrderChecker);
+  EXPECT_EQ(violations[0].detail,
+            "ssq: request 5 (lba 0+32768) dispatched before overlapping "
+            "earlier request 4 (lba 16384+16384)");
+  EXPECT_EQ(law.pending(), 0u);
 }
 
 TEST(SsqDriverTest, WeightAdjustmentsCounted) {
