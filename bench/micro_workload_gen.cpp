@@ -26,7 +26,17 @@ int main() {
   }
 
   {
-    // Includes the MMPP fit (dominant cost) the first time per parameter set.
+    // One VDI-preset fit: the bisection over a shared sample stream that
+    // every synthetic trace pays per stream (nothing is cached across calls).
+    harness.repeat("mmpp_fit", /*items_per_iter=*/1, [&] {
+      sink += workload::fit_mmpp2(10.0, 2.5).rate_quiet;
+      return 0;
+    });
+  }
+
+  {
+    // Every call pays the MMPP fit of both streams (the dominant cost; the
+    // two fits run side by side), then generates the records.
     const auto params = workload::fujitsu_vdi_like(1'000);
     std::uint64_t seed = 1;
     harness.repeat("synthetic_trace/n=1000", /*items_per_iter=*/2'000, [&] {

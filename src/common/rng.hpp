@@ -56,12 +56,16 @@ class Rng {
   /// n << 2^64 is negligible for simulation purposes.
   std::uint64_t uniform_index(std::uint64_t n) { return next_u64() % n; }
 
-  /// Exponential with the given mean (inverse CDF).
-  double exponential(double mean) {
+  /// log(u) of a uniform u in (0, 1): the draw behind exponential(), for
+  /// callers that scale one stream of draws by several means.
+  double log_uniform() {
     double u;
     do { u = uniform(); } while (u <= 0.0);
-    return -mean * std::log(u);
+    return std::log(u);
   }
+
+  /// Exponential with the given mean (inverse CDF).
+  double exponential(double mean) { return -mean * log_uniform(); }
 
   /// Standard normal via Box–Muller (one value per call; simple and
   /// deterministic).

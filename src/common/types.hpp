@@ -72,4 +72,19 @@ enum class IoType : std::uint8_t { kRead = 0, kWrite = 1 };
 
 constexpr const char* to_string(IoType t) { return t == IoType::kRead ? "read" : "write"; }
 
+/// Logical pages [first, last] that an I/O of `bytes` at `lba` touches. A
+/// zero-byte command touches the page holding `lba`: an NVMe command's
+/// block count (NLB) is at least 1.
+struct PageSpan {
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+
+  constexpr std::uint64_t count() const { return last - first + 1; }
+};
+
+constexpr PageSpan page_span(std::uint64_t lba, std::uint32_t bytes,
+                             std::uint64_t page_bytes) {
+  return {lba / page_bytes, (lba + (bytes == 0 ? 0 : bytes - 1)) / page_bytes};
+}
+
 }  // namespace src::common

@@ -124,11 +124,11 @@ class ConsistencyTracker {
 
   /// Calls `fn(chunk, first_offset, last_offset)` for each chunk the
   /// request's page range touches, in ascending page order, until `fn`
-  /// returns false. A zero-byte request touches the page holding `lba`.
+  /// returns false. A zero-byte request touches the page holding `lba`
+  /// (common::page_span).
   template <typename Fn>
   void for_each_chunk(std::uint64_t lba, std::uint32_t bytes, Fn&& fn) const {
-    const std::uint64_t first = lba / page_bytes_;
-    const std::uint64_t last = (lba + (bytes == 0 ? 0 : bytes - 1)) / page_bytes_;
+    const auto [first, last] = common::page_span(lba, bytes, page_bytes_);
     for (std::uint64_t page = first;;) {
       const std::uint64_t chunk_last = std::min(last, page | (kChunkPages - 1));
       if (!fn(page >> kChunkShift, offset(page), offset(chunk_last))) return;

@@ -2,11 +2,17 @@
 // entries. A miss costs one mapping-page flash read in the device model —
 // the mechanism through which the paper's CMT-size parameter (Table II)
 // affects throughput.
+//
+// Storage: the LRU list is index-linked through one node vector, and a
+// FlatMap64 maps a logical page to its node. Nodes are never freed; once
+// the table is full an eviction hands the tail node to the new entry, so
+// an access allocates nothing beyond the table's growth to capacity.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
+
+#include "common/flat_map.hpp"
 
 namespace src::ssd {
 
@@ -18,23 +24,36 @@ class CachedMappingTable {
   /// Touch the mapping entry for a logical page. Returns true on hit;
   /// on a miss the entry is installed (evicting LRU if full).
   bool access(std::uint64_t logical_page) {
-    if (auto it = index_.find(logical_page); it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
+    // One probe finds the entry or makes its slot; the size tells which.
+    const std::size_t cached = index_.size();
+    std::uint32_t& slot = index_[logical_page];
+    if (index_.size() == cached) {
+      if (slot != head_) {
+        unlink(slot);
+        push_front(slot);
+      }
       ++hits_;
       return true;
     }
     ++misses_;
-    if (lru_.size() >= capacity_) {
-      index_.erase(lru_.back());
-      lru_.pop_back();
+    std::uint32_t node;
+    if (nodes_.size() >= capacity_) {
+      node = tail_;
+      unlink(node);
+      slot = node;  // before the erase, which may shift slots
+      index_.erase(nodes_[node].page);
+    } else {
+      node = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.emplace_back();
+      slot = node;
     }
-    lru_.push_front(logical_page);
-    index_[logical_page] = lru_.begin();
+    nodes_[node].page = logical_page;
+    push_front(node);
     return false;
   }
 
   std::uint64_t capacity() const { return capacity_; }
-  std::size_t size() const { return lru_.size(); }
+  std::size_t size() const { return nodes_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
@@ -44,9 +63,32 @@ class CachedMappingTable {
   }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  struct Node {
+    std::uint64_t page = 0;
+    std::uint32_t prev = kNone;  ///< towards the MRU end
+    std::uint32_t next = kNone;  ///< towards the LRU end
+  };
+
+  void unlink(std::uint32_t node) {
+    const Node& n = nodes_[node];
+    (n.prev == kNone ? head_ : nodes_[n.prev].next) = n.next;
+    (n.next == kNone ? tail_ : nodes_[n.next].prev) = n.prev;
+  }
+
+  void push_front(std::uint32_t node) {
+    nodes_[node].prev = kNone;
+    nodes_[node].next = head_;
+    (head_ == kNone ? tail_ : nodes_[head_].prev) = node;
+    head_ = node;
+  }
+
   std::uint64_t capacity_;
-  std::list<std::uint64_t> lru_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
+  std::vector<Node> nodes_;                   ///< one per cached entry
+  common::FlatMap64<std::uint32_t> index_;    ///< logical page -> node
+  std::uint32_t head_ = kNone;                ///< most recently used
+  std::uint32_t tail_ = kNone;                ///< least recently used
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

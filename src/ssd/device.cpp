@@ -1,7 +1,6 @@
 #include "ssd/device.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/obs.hpp"
 
@@ -101,9 +100,7 @@ SimTime SsdDevice::admission_open_at(std::uint64_t lba, std::uint32_t bytes) con
   const std::uint64_t pages =
       std::min<std::uint64_t>(page_count(lba, bytes), backend_.chip_count());
   SimTime open_at = common::kTimeInfinity;
-  if (pages == 0) {
-    open_at = std::numeric_limits<SimTime>::min();  // touches no chip
-  } else if (window > 0) {
+  if (window > 0) {
     SimTime latest_free = backend_.chip_free_at(backend_.place(base));
     for (std::uint64_t i = 1; i < pages; ++i) {
       latest_free = std::max(latest_free, backend_.chip_free_at(backend_.place(base + i)));
@@ -156,7 +153,7 @@ void SsdDevice::execute_read(const NvmeCommand& cmd, CompletionFn on_complete) {
   bool all_cached = true;
   for (std::uint32_t i = 0; i < pages; ++i) {
     const std::uint64_t page = base + i;
-    if (dirty_pages_.contains(page)) {
+    if (dirty_pages_.find(page) != nullptr) {
       // Served from the DRAM write cache.
       ++stats_.cache_read_hits;
       finish = std::max(finish, ready + cfg_.dram_bandwidth.transmission_time(cfg_.page_bytes));
@@ -195,7 +192,7 @@ void SsdDevice::execute_write(const NvmeCommand& cmd, CompletionFn on_complete) 
     // Burst absorption: land in DRAM, acknowledge at DRAM speed, and drain
     // to flash in the background.
     cache_used_ += footprint;
-    for (std::uint32_t i = 0; i < pages; ++i) dirty_pages_.insert(base + i);
+    for (std::uint32_t i = 0; i < pages; ++i) dirty_pages_[base + i] = 1;
 
     DirtyEntry entry;
     entry.first_page = base;

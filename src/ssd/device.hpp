@@ -20,8 +20,8 @@
 #include <deque>
 #include <memory>
 #include <functional>
-#include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
@@ -139,10 +139,10 @@ class SsdDevice {
   common::SimTime program_page(std::uint64_t logical_page, common::SimTime ready);
   bool run_gc_once(common::SimTime ready);
   std::uint64_t first_page(std::uint64_t lba) const { return lba / cfg_.page_bytes; }
+  /// Pages the command touches: at least one (common::page_span).
   std::uint32_t page_count(std::uint64_t lba, std::uint32_t bytes) const {
-    const std::uint64_t first = lba / cfg_.page_bytes;
-    const std::uint64_t last = (lba + bytes - 1) / cfg_.page_bytes;
-    return static_cast<std::uint32_t>(last - first + 1);
+    return static_cast<std::uint32_t>(
+        common::page_span(lba, bytes, cfg_.page_bytes).count());
   }
 
   sim::Simulator& sim_;
@@ -173,7 +173,9 @@ class SsdDevice {
   // Write cache state.
   std::uint64_t cache_used_ = 0;
   std::deque<DirtyEntry> dirty_;          ///< FIFO of cache entries to drain
-  std::unordered_set<std::uint64_t> dirty_pages_;  ///< for read hits
+  /// Pages held in the write cache, for read hits; used as a set (the
+  /// value is unused).
+  common::FlatMap64<std::uint8_t> dirty_pages_;
   std::uint32_t drain_in_flight_ = 0;
 
   // Log-structured FTL (present only when cfg_.enable_gc).

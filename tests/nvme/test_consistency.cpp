@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -75,6 +76,37 @@ TEST(ConsistencyTest, ZeroByteRequestTouchesOnePage) {
   ConsistencyTracker tracker(4096);
   tracker.note_queued(8192, 0, QueueKind::kReadQueue);
   EXPECT_TRUE(tracker.overlapping_queue(8192, 1).has_value());
+}
+
+// A zero-byte request touches exactly the page holding its lba, the span
+// SsdDevice charges too (common::page_span): page-aligned, unaligned, and
+// at lba 0, where lba + bytes - 1 would wrap.
+TEST(ConsistencyTest, ZeroByteRequestSpansThePageHoldingLba) {
+  for (const std::uint64_t page_bytes : {std::uint64_t{4096}, std::uint64_t{16384}}) {
+    for (const std::uint64_t lba : {std::uint64_t{0}, 3 * page_bytes,
+                                    3 * page_bytes + 100, 4 * page_bytes - 1}) {
+      SCOPED_TRACE("page_bytes " + std::to_string(page_bytes) + " lba " +
+                   std::to_string(lba));
+      const common::PageSpan span = common::page_span(lba, 0, page_bytes);
+      EXPECT_EQ(span.first, lba / page_bytes);
+      EXPECT_EQ(span.count(), 1u);
+
+      ConsistencyTracker tracker(page_bytes);
+      tracker.note_queued(lba, 0, QueueKind::kWriteQueue);
+      EXPECT_EQ(tracker.tracked_pages(), 1u);
+      const std::uint64_t page_start = span.first * page_bytes;
+      EXPECT_EQ(tracker.overlapping_queue(page_start, 1), QueueKind::kWriteQueue);
+      EXPECT_EQ(tracker.overlapping_queue(page_start + page_bytes - 1, 0),
+                QueueKind::kWriteQueue);
+      EXPECT_FALSE(tracker.overlapping_queue(page_start + page_bytes, 0).has_value());
+      if (page_start > 0) {
+        EXPECT_FALSE(tracker.overlapping_queue(page_start - 1, 0).has_value());
+      }
+      tracker.note_fetched(lba, 0);
+      EXPECT_EQ(tracker.tracked_pages(), 0u);
+      EXPECT_FALSE(tracker.overlapping_queue(lba, 0).has_value());
+    }
+  }
 }
 
 // Reference model: the node-per-page map the tracker replaced, with the

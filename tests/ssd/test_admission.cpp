@@ -4,6 +4,7 @@
 // backlog against the admission window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,12 +19,12 @@ using common::IoType;
 using common::SimTime;
 
 /// The gate as a per-page scan: closed when any page's chip has at least
-/// a window of backlog.
+/// a window of backlog. A zero-byte command touches the page holding lba.
 bool scan_gate(const SsdDevice& device, SimTime now, std::uint64_t lba,
                std::uint32_t bytes) {
   const SsdConfig& cfg = device.config();
   const std::uint64_t first = lba / cfg.page_bytes;
-  const std::uint64_t last = (lba + bytes - 1) / cfg.page_bytes;
+  const std::uint64_t last = (lba + std::max<std::uint32_t>(bytes, 1) - 1) / cfg.page_bytes;
   const auto pages = static_cast<std::uint32_t>(last - first + 1);
   const SimTime window = cfg.admission_window();
   for (std::uint32_t i = 0; i < pages; ++i) {
@@ -51,7 +52,7 @@ void run_differential(SsdConfig cfg, std::uint64_t seed, bool scale_latency) {
     Query q;
     q.lba = rng.uniform_index(pages) * cfg.page_bytes + rng.uniform_index(cfg.page_bytes);
     // Mostly 1-4 pages; sometimes more pages than chips; rarely zero
-    // bytes, page-aligned half the time (the device counts 0 pages then).
+    // bytes, page-aligned half the time.
     const double shape = rng.uniform();
     if (shape < 0.03) {
       q.bytes = 0;
@@ -79,7 +80,7 @@ void run_differential(SsdConfig cfg, std::uint64_t seed, bool scale_latency) {
       cmd.id = ++id;
       cmd.type = rng.bernoulli(0.5) ? IoType::kRead : IoType::kWrite;
       cmd.lba = q.lba;
-      cmd.bytes = q.bytes == 0 ? static_cast<std::uint32_t>(cfg.page_bytes) : q.bytes;
+      cmd.bytes = q.bytes;
       cmd.fetch_time = sim.now();
       device.execute(cmd, [](const NvmeCompletion&) {});
     } else if (op < 0.85) {
@@ -95,7 +96,7 @@ void run_differential(SsdConfig cfg, std::uint64_t seed, bool scale_latency) {
       ASSERT_EQ(device.admission_ok(q.lba, q.bytes), expected)
           << "step " << step << " t=" << sim.now() << " lba " << q.lba << "+"
           << q.bytes;
-      if (q.bytes != 0) ++(expected ? opened : closed);
+      ++(expected ? opened : closed);
     }
   }
   sim.run();
@@ -103,7 +104,7 @@ void run_differential(SsdConfig cfg, std::uint64_t seed, bool scale_latency) {
     EXPECT_EQ(device.admission_ok(q.lba, q.bytes), scan_gate(device, sim.now(), q.lba, q.bytes));
   }
   // Both answers must have been exercised, except where the window makes
-  // the gate constant (for commands that touch a page at all).
+  // the gate constant.
   if (cfg.admission_window() <= 0) {
     EXPECT_EQ(opened, 0u);
   } else if (cfg.admission_window_ops < 100) {
@@ -146,6 +147,53 @@ TEST(AdmissionGateTest, MemoMatchesPerPageScanAtExtremeWindows) {
     SsdConfig cfg = small(ssd_a());
     cfg.admission_window_ops = ops;
     run_differential(cfg, 7, /*scale_latency=*/true);
+  }
+}
+
+// A zero-byte command touches the page holding its lba, like a one-byte
+// command there: the gate closes on that page's chip, and a read of it
+// goes to flash. Page-aligned, unaligned, and lba 0.
+TEST(AdmissionGateTest, ZeroByteCommandTouchesThePageHoldingLba) {
+  const SsdConfig cfg = small(ssd_a());
+  for (const std::uint64_t lba : {std::uint64_t{0}, 5 * cfg.page_bytes,
+                                  5 * cfg.page_bytes + 100}) {
+    SCOPED_TRACE("lba " + std::to_string(lba));
+    sim::Simulator sim;
+    SsdDevice device(sim, cfg, 1);
+    ASSERT_TRUE(device.admission_ok(lba, 0));
+    // Back up the chip of the page holding lba past the admission window.
+    const std::uint64_t page_start = lba - lba % cfg.page_bytes;
+    std::uint64_t id = 0;
+    while (device.backend().chip_backlog(device.backend().place(page_start / cfg.page_bytes),
+                                         sim.now()) < cfg.admission_window()) {
+      NvmeCommand busy;
+      busy.id = ++id;
+      busy.lba = page_start;
+      busy.bytes = static_cast<std::uint32_t>(cfg.page_bytes);
+      device.execute(busy, [](const NvmeCompletion&) {});
+    }
+    EXPECT_FALSE(device.admission_ok(lba, 0));
+    EXPECT_EQ(device.admission_ok(lba, 0), device.admission_ok(page_start, 1));
+    EXPECT_EQ(device.admission_ok(lba, 0), scan_gate(device, sim.now(), lba, 0));
+    // The next page's chip is idle.
+    EXPECT_TRUE(device.admission_ok(page_start + cfg.page_bytes, 0));
+    sim.run();
+
+    // A zero-byte read is a one-page flash read, not an instant completion.
+    SimTime done = -1;
+    bool cached = true;
+    NvmeCommand read;
+    read.id = ++id;
+    read.lba = lba;
+    read.bytes = 0;
+    const SimTime start = sim.now();
+    device.execute(read, [&](const NvmeCompletion& c) {
+      done = c.complete_time;
+      cached = c.served_from_cache;
+    });
+    sim.run();
+    EXPECT_FALSE(cached);
+    EXPECT_GE(done, start + cfg.command_overhead + cfg.read_latency);
   }
 }
 
